@@ -1,9 +1,10 @@
-"""Differential cross-checks: simulator vs analytic model vs functional.
+"""Differential cross-checks: simulator vs analytic model vs functional
+engine, and the compiled event loop vs the Python one.
 
-Three independent implementations of the same all-to-all exist in this
+Four independent implementations of the same all-to-all exist in this
 repository.  :func:`differential_point` runs one
-:class:`~repro.runner.point.SimPoint` through all three and reports every
-divergence with the full configuration:
+:class:`~repro.runner.point.SimPoint` through all of them and reports
+every divergence with the full configuration:
 
 * **simulator leg** — the point runs through :func:`repro.runner.run_points`
   on the oracle-checked network (so every invariant in
@@ -31,11 +32,18 @@ divergence with the full configuration:
   every materialized packet consumed exactly once in both.  Lossy points
   draw different loss/retransmission outcomes in the two engines, so
   only the postcondition (not the count) is compared there.
+* **kernel leg** — on pristine points the plain network runs twice, once
+  through the compiled event loop (:mod:`repro.net.kernel`) and once
+  through the Python reference loop, and every
+  :class:`~repro.net.trace.SimulationResult` field must be equal to the
+  last bit (:func:`result_mismatches`), per-link packet and busy-cycle
+  arrays included.  Skipped when no C compiler is usable.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import struct
+from dataclasses import dataclass, field, fields
 from typing import TYPE_CHECKING, Mapping, Optional, Tuple
 
 from repro.check.config import CheckConfig
@@ -84,7 +92,7 @@ def default_bands() -> ToleranceBands:
 
 @dataclass
 class DifferentialReport:
-    """Outcome of cross-checking one point across the three engines."""
+    """Outcome of cross-checking one point across the engines."""
 
     label: str
     failures: list = field(default_factory=list)
@@ -137,6 +145,71 @@ def model_leg(
             f"predicted {predicted:.0f}, strategy {run.strategy})"
         ]
     return []
+
+
+def result_mismatches(a, b) -> list:
+    """Names (with both values) of the :class:`SimulationResult` fields on
+    which *a* and *b* differ: floats compared bitwise, arrays by dtype,
+    shape and bytes, everything else with ``==``."""
+    import numpy as np
+
+    out = []
+    for f in fields(a):
+        x, y = getattr(a, f.name), getattr(b, f.name)
+        if isinstance(x, np.ndarray) or isinstance(y, np.ndarray):
+            same = (
+                isinstance(x, np.ndarray)
+                and isinstance(y, np.ndarray)
+                and x.dtype == y.dtype
+                and x.shape == y.shape
+                and x.tobytes() == y.tobytes()
+            )
+        elif isinstance(x, float) or isinstance(y, float):
+            same = struct.pack("<d", x) == struct.pack("<d", y)
+        else:
+            same = x == y
+        if not same:
+            out.append(f"{f.name}: {x!r} != {y!r}")
+    return out
+
+
+def kernel_leg(point: "SimPoint") -> list:
+    """Run a pristine point through the compiled kernel and through the
+    Python reference loop; every result field must agree exactly.
+
+    Returns a (possibly empty) list of failure strings; empty also when
+    the point is faulty (the kernel only runs the plain network) or no
+    compiler is usable here."""
+    from repro.api import simulate_alltoall
+    from repro.net import kernel
+
+    if point.faults is not None and not point.faults.is_empty:
+        return []
+    if not kernel.available():
+        return []
+    outcome = {}
+    for engine in ("kernel", "python"):
+        try:
+            with kernel.use_engine(engine):
+                outcome[engine] = simulate_alltoall(
+                    point.strategy, point.shape, point.msg_bytes,
+                    params=point.params, config=point.config,
+                    seed=point.seed,
+                ).result
+        except SimulationError as exc:
+            outcome[engine] = f"{type(exc).__name__}: {exc}"
+    ours, ref = outcome["kernel"], outcome["python"]
+    if isinstance(ours, str) or isinstance(ref, str):
+        # A failing point must fail the same way in both loops (the
+        # simulator leg reports the failure itself).
+        if ours == ref:
+            return []
+        return [f"kernel: compiled loop gave {ours!r:.300}, "
+                f"Python loop {ref!r:.300}"]
+    return [
+        f"kernel: {m} (compiled vs Python loop)"
+        for m in result_mismatches(ours, ref)
+    ]
 
 
 def functional_leg(point: "SimPoint", sim_run=None) -> list:
@@ -222,6 +295,7 @@ def differential_points(
         func_failures = functional_leg(point, sim_run=run)
         report.functional_ok = not func_failures
         report.failures.extend(func_failures)
+        report.failures.extend(kernel_leg(point))
     return reports
 
 

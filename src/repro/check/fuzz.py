@@ -4,7 +4,8 @@ Samples random configurations — shapes (including degenerate, asymmetric
 and extent-1 axes, torus and mesh), strategies, message sizes, seeds and
 fault plans — and pushes each through :func:`repro.check.differential
 .differential_points`: oracle-checked simulation, model tolerance band,
-functional payload-permutation check.  Any divergence is **shrunk** to a
+functional payload-permutation check, and on pristine points the
+compiled event loop against the Python one.  Any divergence is **shrunk** to a
 minimal still-failing configuration and printed as a one-line reproducer::
 
     REPRODUCER: python -m repro.check.fuzz --case 'AR@4x4/m8/s0/fp0.05,t2000'
@@ -552,7 +553,7 @@ def fuzz(
     note = f", {skipped} skipped on the watchdog" if skipped else ""
     print(
         f"fuzz clean: {cases_run} case(s) in {elapsed:.1f}s "
-        f"(seed {seed}, all three engines agree{note})"
+        f"(seed {seed}, all engines agree{note})"
     )
     return 0
 
@@ -572,7 +573,8 @@ def main(argv: Optional[list] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.check.fuzz",
         description="Differential fuzzing: simulator vs model vs "
-        "functional engine, with invariant oracles on.",
+        "functional engine (and compiled vs Python event loop), with "
+        "invariant oracles on.",
     )
     parser.add_argument(
         "--budget", default="60s",

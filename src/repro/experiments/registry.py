@@ -127,9 +127,9 @@ def run_experiment(
         result = driver(scale=scale, seed=seed, jobs=jobs)
     wall = time.perf_counter() - t0
     after = counters.snapshot()
-    new_keys = after["point_keys"][len(before["point_keys"]):]
+    new_keys = counters.point_keys[before["n_point_keys"]:]
     simulated = after["simulated"] - before["simulated"]
-    new_failures = after["failures"][len(before["failures"]):]
+    new_failures = counters.failures[before["n_failures"]:]
     result.failures = new_failures
     result.provenance = provenance_record(
         schema_version=SCHEMA_VERSION,

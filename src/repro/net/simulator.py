@@ -69,8 +69,14 @@ implementation.  The load-bearing structures:
   (:mod:`repro.net.displacement`) instead of re-running the mod/halfbits
   branch cluster on every routing decision.
 
+* **Compiled loop.**  On the plain network :meth:`TorusNetwork.run`
+  hands the event loop to a C port of these handlers
+  (:mod:`repro.net.kernel`) whenever none of them is overridden; the
+  handlers here plus ``_run_dispatch`` are the reference and the
+  fallback.
+
 ``tests/net`` pins the semantics; the golden trace and differential
-harness pin bit-identity.
+harness (its kernel leg included) pin bit-identity.
 """
 
 from __future__ import annotations
@@ -85,6 +91,7 @@ import numpy as np
 
 from repro.model.machine import MachineParams
 from repro.model.torus import TorusShape
+from repro.net import kernel
 from repro.net.config import NetworkConfig
 from repro.net.displacement import displacement_tables
 from repro.net.errors import DeadlockError, SimulationLimitError
@@ -901,9 +908,6 @@ class TorusNetwork:
                 return f
         return -1
 
-    def _cpu_cost(self, wire_bytes: int) -> float:
-        return self._cpu_fixed + wire_bytes * self._cpu_incr
-
     def _cpu_start_next(self, u: int) -> None:
         """Choose the next CPU op at *u* (round-robin over reception drain,
         forward injection, plan injection) and schedule its completion."""
@@ -1030,23 +1034,7 @@ class TorusNetwork:
     def run(self, program: NodeProgram) -> SimulationResult:
         """Execute *program* to quiescence and return the results."""
         self._program = program
-        for u in range(self._p):
-            self._plan_iter[u] = iter(program.injection_plan(u))
-            self._pace[u] = program.pace_cycles(u) * TICK_SCALE
-            self._cpu_maybe_start(u)
-
-        max_cycles = self.config.max_cycles
-        max_events = self.config.max_events
-        # The fused loop inlines the base-class handlers, so it is only
-        # safe when every one of them still IS the base-class handler —
-        # any subclass override (fault/obs/check mixins) or monkeypatch
-        # routes through the generic dispatch loop instead.
-        cls = type(self)
-        fused = True
-        for nm, fn in _FUSED_HOOKS:
-            if getattr(cls, nm) is not fn:
-                fused = False
-                break
+        lib = self._kernel_library()
         # Garbage collection is suspended for the run: the hot loop
         # allocates almost nothing cyclic, and the collector's periodic
         # scans cost more than they reclaim here.
@@ -1054,10 +1042,16 @@ class TorusNetwork:
         gc.disable()
         _live["net"] = self
         try:
-            if fused:
-                n_events = self._run_fused(max_cycles, max_events)
+            if lib is not None:
+                n_events = kernel.run(self, program, lib)
             else:
-                n_events = self._run_dispatch(max_cycles, max_events)
+                for u in range(self._p):
+                    self._plan_iter[u] = iter(program.injection_plan(u))
+                    self._pace[u] = program.pace_cycles(u) * TICK_SCALE
+                    self._cpu_maybe_start(u)
+                n_events = self._run_dispatch(
+                    self.config.max_cycles, self.config.max_events
+                )
         finally:
             _live["net"] = None
             if gc_was:
@@ -1074,10 +1068,39 @@ class TorusNetwork:
             )
         return self._result()
 
+    def _kernel_library(self):
+        """The compiled kernel to run this network with, or None for the
+        Python loop.  The kernel ports the base-class handlers, so it
+        only runs while none of them is overridden or monkeypatched."""
+        forced = kernel.forced_engine()
+        if forced == "python":
+            return None
+        cls = type(self)
+        if any(getattr(cls, nm) is not fn for nm, fn in _KERNEL_HOOKS):
+            why = f"{cls.__name__} overrides simulator handlers"
+        elif any(self._q_n) or any(self._rp_n):
+            why = "packets already queued in the network"
+        elif self._nports > kernel.MAX_PORTS:
+            why = (
+                f"{self._nports} ports per node exceed the kernel's "
+                f"{kernel.MAX_PORTS}-bit port mask"
+            )
+            kernel.log_once(why)
+        else:
+            lib = kernel.load()
+            if lib is not None:
+                return lib
+            why = "no usable C compiler"
+        if forced == "kernel":
+            raise kernel.KernelUnavailable(why)
+        return None
+
     def _run_dispatch(self, max_cycles: float, max_events: int) -> int:
-        """Generic main loop: dispatch every event through the (possibly
-        overridden) handler methods.  Used whenever a mixin layers hooks
-        over the base class."""
+        """The Python main loop: dispatch every event through the
+        (possibly overridden) handler methods.  The reference the
+        compiled kernel ports, and the loop of every network that
+        overrides a handler (fault, obs and check layers) or runs
+        without a C compiler."""
         max_cycles_t = max_cycles * TICK_SCALE
         n_events = 0
         # Hot-loop locals (the loop runs millions of times per collective).
@@ -1126,528 +1149,6 @@ class TorusNetwork:
                 cpu_maybe_start(b)
             else:  # _EV_CPU_WAKE
                 cpu_maybe_start(a)
-            if now > max_cycles_t:
-                raise self._limit_error(
-                    f"simulation exceeded {max_cycles:.3g} cycles",
-                    n_events,
-                )
-            if n_events > max_events:
-                raise self._limit_error(
-                    f"simulation exceeded {max_events} events", n_events
-                )
-        return n_events
-
-    def _run_fused(self, max_cycles: float, max_events: int) -> int:
-        """Fused main loop for the pristine network: `_run_dispatch` with
-        every base-class handler inlined as a closure and all simulator
-        state hoisted into locals (CPython attribute loads and method
-        calls dominate the generic loop's profile).
-
-        The logic is copied verbatim from the handler methods — keep the
-        two in lockstep when changing either.  Faithfulness is pinned by
-        the traced-vs-plain bit-identity tests (the instrumented run takes
-        the generic loop, the plain run takes this one, and their results
-        must be equal to the last bit) plus the golden trace and
-        differential suites."""
-        st = self.stats
-        imm = self._immediate
-        imm_pop = imm.popleft
-        imm_append = imm.append
-        imm_extend = imm.extend
-        theap = self._theap
-        buckets = self._buckets
-        bucket_pop = buckets.pop
-        bucket_get = buckets.get
-        tick_pop = heappop
-        tick_push = heappush
-
-        nports = self._nports
-        nvp = self._nvp
-        nvcs = self._nvcs
-        ndyn = self._ndyn
-        ndirs = self._ndirs
-        ndim = self._ndim
-        nfifos = self._nfifos
-        bubble = self._bubble
-        bubble_entry = self._bubble_entry
-        hop_t = self._hop_t
-        qsh = self._q_shift
-        qmask = self._q_mask
-        rsh = self._rp_shift
-        rmask = self._rp_mask
-        pm_vc = self._pm_vc
-        all_ports = (1 << nports) - 1
-
-        q_buf = self._q_buf
-        q_hd = self._q_hd
-        q_n = self._q_n
-        rp_buf = self._rp_buf
-        rp_hd = self._rp_hd
-        rp_n = self._rp_n
-        pmask = self._pmask
-        pbit = self._pbit
-        nbit = self._nbit
-        queued = self._queued
-        tokens = self._tokens
-        link_busy = self._link_busy
-        busy_cycles = self._busy_cycles
-        link_packets = self._link_packets
-        fifo_free = self._fifo_free
-        recv_free = self._recv_free
-        arb = self._arb
-        nbr = self._nbr
-        colm = self._colm
-        coord = self._coord
-        dirtab = self._dirtab
-        port_axis = self._port_axis
-        tok_evs = self._tok_evs
-        fifo_evs = self._fifo_evs
-        link_evs = self._link_evs
-        cpu_evs = self._cpu_evs
-        wake_evs = self._wake_evs
-        svc_f = self._svc_f
-        svc_t = self._svc_t
-        cpu_tt = self._cpu_t
-
-        P_dst = self._P_dst
-        P_mode = self._P_mode
-        P_half = self._P_half
-        P_vc = self._P_vc
-        P_hops = self._P_hops
-        P_wire = self._P_wire
-
-        cpu_active = self._cpu_active
-        cpu_rr = self._cpu_rr
-        cpu_pending = self._cpu_pending
-        fwd_pending = self._fwd_pending
-        plan_next = self._plan_next
-        plan_iter = self._plan_iter
-        plan_last_start = self._plan_last_start
-        pace = self._pace
-
-        alloc = self._pool.alloc
-        pid_next = self._pid.__next__
-        pick_fifo = self._pick_fifo
-        finish_delivery = self._finish_delivery
-
-        max_cycles_t = max_cycles * TICK_SCALE
-        now = self._now
-        n_events = 0
-
-        def post_ev(t: float, ev: tuple) -> None:
-            if t <= now:
-                imm_append(ev)
-            else:
-                b = bucket_get(t)
-                if b is None:
-                    buckets[t] = [ev]
-                    tick_push(theap, t)
-                else:
-                    b.append(ev)
-
-        def dor_dir(cur: int, dst: int, halfbits: int) -> int:
-            for axis in range(ndim):
-                d = dirtab[axis][(halfbits >> axis) & 1][
-                    colm[axis][cur] + coord[axis][dst]
-                ]
-                if d >= 0:
-                    return d
-            return -1
-
-        def launch(u: int, d: int, v: int, h: int, vc: int) -> None:
-            tokens[(v * ndirs + (d ^ 1)) * nvcs + vc] -= 1
-            P_vc[h] = vc
-            P_hops[h] += 1
-            st.total_hops += 1
-            wb = P_wire[h]
-            done = now + svc_t[wb]
-            li = u * ndirs + d
-            link_busy[li] = done
-            busy_cycles[li] += svc_f[wb]
-            link_packets[li] += 1
-            ev = link_evs[li]
-            if done <= now:
-                imm_append(ev)
-            else:
-                b = bucket_get(done)
-                if b is None:
-                    buckets[done] = [ev]
-                    tick_push(theap, done)
-                else:
-                    b.append(ev)
-            arrive = (done if P_dst[h] == v else now) + hop_t
-            ev = (1, v, (d ^ 1) * nvcs + vc, h)
-            if arrive <= now:
-                imm_append(ev)
-            else:
-                b = bucket_get(arrive)
-                if b is None:
-                    buckets[arrive] = [ev]
-                    tick_push(theap, arrive)
-                else:
-                    b.append(ev)
-
-        def try_send_head(u: int, h: int, in_axis: int) -> bool:
-            nbr_u = nbr[u]
-            lbase = u * ndirs
-            dst = P_dst[h]
-            halfbits = P_half[h]
-            if P_mode[h] == _ADAPTIVE:
-                best_d, best_vc, best_free = -1, -1, 0
-                first_d = -1
-                for axis in range(ndim):
-                    d = dirtab[axis][(halfbits >> axis) & 1][
-                        colm[axis][u] + coord[axis][dst]
-                    ]
-                    if d < 0:
-                        continue
-                    if first_d < 0:
-                        # Same table walked in the same axis order, so the
-                        # first valid direction IS the dimension-order one:
-                        # the bubble fallback below reuses it instead of
-                        # recomputing dor_dir.
-                        first_d = d
-                    v = nbr_u[d]
-                    if v < 0 or link_busy[lbase + d] > now:
-                        continue
-                    base = (v * ndirs + (d ^ 1)) * nvcs
-                    for vc in range(ndyn):
-                        f = tokens[base + vc]
-                        if f > best_free:
-                            best_d, best_vc, best_free = d, vc, f
-                if best_d >= 0:
-                    launch(u, best_d, nbr_u[best_d], h, best_vc)
-                    return True
-                d = first_d
-                if d < 0:
-                    return False
-                v = nbr_u[d]
-                if v < 0 or link_busy[lbase + d] > now:
-                    return False
-                entering = P_vc[h] != bubble or in_axis != (d >> 1)
-                base = (v * ndirs + (d ^ 1)) * nvcs
-                need = bubble_entry if entering else 1
-                if tokens[base + bubble] >= need:
-                    launch(u, d, v, h, bubble)
-                    return True
-                return False
-            d = dor_dir(u, dst, halfbits)
-            if d < 0:
-                return False
-            v = nbr_u[d]
-            if v < 0 or link_busy[lbase + d] > now:
-                return False
-            entering = P_vc[h] != bubble or in_axis != (d >> 1)
-            base = (v * ndirs + (d ^ 1)) * nvcs
-            need = bubble_entry if entering else 1
-            if tokens[base + bubble] >= need:
-                launch(u, d, v, h, bubble)
-                return True
-            return False
-
-        def advance_queue_head(u: int, port: int) -> None:
-            qi = u * nports + port
-            n = q_n[qi]
-            if not n:
-                return
-            tok_ev = tok_evs[u * nvp + port]
-            in_axis = port_axis[port]
-            while n:
-                h = q_buf[(qi << qsh) | q_hd[qi]]
-                if P_dst[h] == u:
-                    if recv_free[u] <= 0:
-                        break
-                    recv_free[u] -= 1
-                    q_hd[qi] = (q_hd[qi] + 1) & qmask
-                    n -= 1
-                    q_n[qi] = n
-                    queued[u] -= 1
-                    rn = rp_n[u]
-                    rp_buf[(u << rsh) | ((rp_hd[u] + rn) & rmask)] = h
-                    rp_n[u] = rn + 1
-                    imm_append(tok_ev)
-                    if not cpu_active[u]:
-                        cpu_start_next(u)
-                else:
-                    if not try_send_head(u, h, in_axis):
-                        break
-                    q_hd[qi] = (q_hd[qi] + 1) & qmask
-                    n -= 1
-                    q_n[qi] = n
-                    queued[u] -= 1
-                    imm_append(tok_ev)
-            if not n:
-                pmask[u] &= nbit[port]
-
-        def advance_fifo_head(u: int, f: int) -> None:
-            port = nvp + f
-            qi = u * nports + port
-            n = q_n[qi]
-            if not n:
-                return
-            fifo_ev = fifo_evs[u * nfifos + f]
-            while n:
-                h = q_buf[(qi << qsh) | q_hd[qi]]
-                if not try_send_head(u, h, -1):
-                    break
-                q_hd[qi] = (q_hd[qi] + 1) & qmask
-                n -= 1
-                q_n[qi] = n
-                queued[u] -= 1
-                imm_append(fifo_ev)
-            if not n:
-                pmask[u] &= nbit[port]
-
-        def arbitrate(u: int, d: int) -> None:
-            # Both call sites pre-gate on a non-empty port mask and an
-            # idle link, so those checks are not repeated here.
-            v = nbr[u][d]
-            if v < 0:
-                return
-            li = u * ndirs + d
-            m = pmask[u]
-            ubase = u * nports
-            axis = d >> 1
-            base = (v * ndirs + (d ^ 1)) * nvcs
-            bubble_tok = tokens[base + bubble]
-            dt_axis = dirtab[axis]
-            colm_u = colm[axis][u]
-            coord_ax = coord[axis]
-            start = arb[li]
-            b_port = -1
-            b_h = -1
-            b_vc = -1
-            if m & (m - 1):
-                mm = ((m >> start) | (m << (nports - start))) & all_ports
-            else:
-                # Single occupied port (the common case, >half of scans):
-                # the rotation is a no-op for candidate selection, so
-                # evaluate the lone port directly.
-                mm = m
-                start = 0
-            while mm:
-                low = mm & -mm
-                mm -= low
-                port = start + low.bit_length() - 1
-                if port >= nports:
-                    port -= nports
-                qi = ubase + port
-                h = q_buf[(qi << qsh) | q_hd[qi]]
-                dst = P_dst[h]
-                if port < nvp:
-                    if dst == u:
-                        continue  # waiting for reception space
-                    in_axis = port // nvcs >> 1
-                else:
-                    in_axis = -1
-                halfbits = P_half[h]
-                if d != dt_axis[(halfbits >> axis) & 1][
-                    colm_u + coord_ax[dst]
-                ]:
-                    # Not this packet's direction on the link's own axis:
-                    # neither the adaptive pick (productive-direction rule)
-                    # nor the bubble fallback (dor_dir starts with this
-                    # axis' entry) can choose link d.
-                    continue
-                if P_mode[h] == _ADAPTIVE:
-                    best, best_free = -1, 0
-                    for vc in range(ndyn):
-                        f = tokens[base + vc]
-                        if f > best_free:
-                            best, best_free = vc, f
-                    if best >= 0:
-                        b_port, b_h, b_vc = port, h, best
-                        break
-                if b_port < 0:
-                    # dor_dir(u, dst, halfbits) == d iff every earlier axis
-                    # is already aligned (its dirtab entry is -1).
-                    for ax in range(axis):
-                        if dirtab[ax][(halfbits >> ax) & 1][
-                            colm[ax][u] + coord[ax][dst]
-                        ] >= 0:
-                            break
-                    else:
-                        need = (
-                            bubble_entry
-                            if P_vc[h] != bubble or in_axis != axis
-                            else 1
-                        )
-                        if bubble_tok >= need:
-                            b_port, b_h, b_vc = port, h, bubble
-            if b_port < 0:
-                return
-            port = b_port
-            qi = ubase + port
-            q_hd[qi] = (q_hd[qi] + 1) & qmask
-            n = q_n[qi] - 1
-            q_n[qi] = n
-            if not n:
-                pmask[u] &= nbit[port]
-            queued[u] -= 1
-            arb[li] = port + 1 if port + 1 < nports else 0
-            if port < nvp:
-                imm_append(tok_evs[u * nvp + port])
-                launch(u, d, v, b_h, b_vc)
-                if n:
-                    advance_queue_head(u, port)
-            else:
-                f = port - nvp
-                imm_append(fifo_evs[u * nfifos + f])
-                launch(u, d, v, b_h, b_vc)
-                if n:
-                    advance_fifo_head(u, f)
-
-        def begin_injection(u: int, spec, fifo: int, src: int) -> None:
-            wb = spec.wire_bytes
-            if wb >= self._tbl_len:
-                self._extend_tables(wb)
-            fifo_free[u * nfifos + fifo] -= 1
-            cost = self._cpu_f[wb] + spec.extra_cpu_cycles
-            if spec.new_message:
-                cost += (
-                    spec.alpha_cycles
-                    if spec.alpha_cycles >= 0
-                    else self._alpha
-                )
-            cpu_pending[u] = ("inject", spec, fifo)
-            cpu_active[u] = True
-            cpu_rr[u] = src + 1
-            post_ev(now + cost * TICK_SCALE, cpu_evs[u])
-
-        def cpu_start_next(u: int) -> None:
-            rr = cpu_rr[u]
-            wake_at = -1.0
-            for k in range(3):
-                src = rr + k
-                if src >= 3:
-                    src -= 3
-                if src == 0:  # _SRC_RECV
-                    n = rp_n[u]
-                    if n:
-                        hd = rp_hd[u]
-                        h = rp_buf[(u << rsh) | hd]
-                        rp_hd[u] = (hd + 1) & rmask
-                        rp_n[u] = n - 1
-                        cpu_pending[u] = ("recv", h)
-                        cpu_active[u] = True
-                        cpu_rr[u] = src + 1
-                        post_ev(now + cpu_tt[P_wire[h]], cpu_evs[u])
-                        return
-                elif src == 1:  # _SRC_FORWARD
-                    fp = fwd_pending[u]
-                    if fp:
-                        spec = fp[0]
-                        f = pick_fifo(u, spec.fifo_group)
-                        if f >= 0:
-                            fp.popleft()
-                            begin_injection(u, spec, f, src)
-                            return
-                else:  # _SRC_PLAN
-                    nxt = plan_next[u]
-                    if nxt is None:
-                        it = plan_iter[u]
-                        if it is not None:
-                            nxt = next(it, None)
-                            if nxt is None:
-                                plan_iter[u] = None
-                            else:
-                                plan_next[u] = nxt
-                    if nxt is not None:
-                        eligible = plan_last_start[u] + pace[u]
-                        if now < eligible:
-                            if wake_at < 0 or eligible < wake_at:
-                                wake_at = eligible
-                            continue
-                        f = pick_fifo(u, nxt.fifo_group)
-                        if f >= 0:
-                            plan_next[u] = None
-                            plan_last_start[u] = now
-                            begin_injection(u, nxt, f, src)
-                            return
-            cpu_active[u] = False
-            if wake_at > now:
-                post_ev(wake_at, wake_evs[u])
-
-        while True:
-            if imm:
-                kind, a, b, c = imm_pop()
-            elif theap:
-                self._now = now = tick_pop(theap)
-                imm_extend(bucket_pop(now))
-                kind, a, b, c = imm_pop()
-            else:
-                break
-            n_events += 1
-            if kind == 1:  # _EV_ARRIVE (inlined _on_arrive)
-                qi = a * nports + b
-                n = q_n[qi]
-                if not n and P_dst[c] == a and recv_free[a] > 0:
-                    recv_free[a] -= 1
-                    rn = rp_n[a]
-                    rp_buf[(a << rsh) | ((rp_hd[a] + rn) & rmask)] = c
-                    rp_n[a] = rn + 1
-                    imm_append(tok_evs[a * nvp + b])
-                    if not cpu_active[a]:
-                        cpu_start_next(a)
-                else:
-                    q_buf[(qi << qsh) | ((q_hd[qi] + n) & qmask)] = c
-                    q_n[qi] = n + 1
-                    queued[a] += 1
-                    if not n:
-                        pmask[a] |= pbit[b]
-                        advance_queue_head(a, b)
-            elif kind == 2:  # _EV_TOKEN
-                tokens[a] += 1
-                # Busy-link gate inlined: ~40 % of token returns poke a
-                # still-transmitting upstream link, which the arbitration
-                # scan would reject anyway.
-                if b >= 0 and pmask[b] and link_busy[b * ndirs + c] <= now:
-                    arbitrate(b, c)
-            elif kind == 0:  # _EV_LINK_FREE
-                if pmask[a] and link_busy[a * ndirs + b] <= now:
-                    arbitrate(a, b)
-            elif kind == 3:  # _EV_CPU_DONE (inlined _cpu_complete)
-                op = cpu_pending[a]
-                cpu_pending[a] = None
-                if op[0] == "recv":
-                    recv_free[a] += 1
-                    finish_delivery(a, op[1])
-                    # Inlined _deliver_local_heads.
-                    m = pmask[a] & pm_vc
-                    while m:
-                        if recv_free[a] <= 0:
-                            break
-                        low = m & -m
-                        m -= low
-                        advance_queue_head(a, low.bit_length() - 1)
-                else:  # inject
-                    spec = op[1]
-                    fifo = op[2]
-                    h = alloc(pid_next(), a, spec, now)
-                    st.injected_packets += 1
-                    st.injected_wire_bytes += spec.wire_bytes
-                    if spec.dst == a:
-                        # Local (self) message: bypasses the network.
-                        fifo_free[a * nfifos + fifo] += 1
-                        finish_delivery(a, h)
-                    else:
-                        port = nvp + fifo
-                        qi = a * nports + port
-                        n = q_n[qi]
-                        q_buf[(qi << qsh) | ((q_hd[qi] + n) & qmask)] = h
-                        q_n[qi] = n + 1
-                        queued[a] += 1
-                        if not n:
-                            pmask[a] |= pbit[port]
-                            advance_fifo_head(a, fifo)
-                cpu_start_next(a)
-            elif kind == 5:  # _EV_FIFO_FREE
-                fifo_free[a] += 1
-                if not cpu_active[b]:
-                    cpu_start_next(b)
-            else:  # _EV_CPU_WAKE
-                if not cpu_active[a]:
-                    cpu_start_next(a)
             if now > max_cycles_t:
                 raise self._limit_error(
                     f"simulation exceeded {max_cycles:.3g} cycles",
@@ -1791,18 +1292,20 @@ class TorusNetwork:
         )
 
 
-#: (name, base implementation) pairs whose bodies `_run_fused` inlines.
-#: run() selects the fused loop only while every one of these still
+#: (name, base implementation) pairs the compiled kernel replaces.  run()
+#: hands the loop to the kernel only while every one of these still
 #: resolves to the base implementation on the instance's class — a
 #: subclass override or a monkeypatch of any of them (the fault, obs and
-#: check layers, sabotage harnesses) falls back to the generic dispatch
-#: loop, which calls the methods dynamically.
-_FUSED_HOOKS = tuple(
+#: check layers, sabotage harnesses) keeps the Python dispatch loop, which
+#: calls the methods dynamically.
+_KERNEL_HOOKS = tuple(
     (nm, getattr(TorusNetwork, nm))
     for nm in (
         "_post_ev",
         "_dor_dir",
         "_vc_for_link",
+        "_q_append",
+        "_rp_append",
         "_launch",
         "_arbitrate_link",
         "_try_send_head",
@@ -1811,9 +1314,13 @@ _FUSED_HOOKS = tuple(
         "_deliver_local_heads",
         "_cpu_maybe_start",
         "_plan_peek",
+        "_pick_fifo",
         "_cpu_start_next",
+        "_extend_tables",
         "_begin_injection",
         "_cpu_complete",
+        "_finish_delivery",
         "_on_arrive",
+        "_run_dispatch",
     )
 )

@@ -47,6 +47,7 @@ from __future__ import annotations
 
 import logging
 import os
+import sys
 from dataclasses import dataclass, field
 from types import SimpleNamespace
 from typing import Iterable, Optional, Sequence
@@ -120,7 +121,11 @@ class RunnerCounters:
         self.failures = []
 
     def snapshot(self) -> dict:
-        """Plain-dict copy (for deltas around an experiment run)."""
+        """Plain-dict copy of the scalar counters (for deltas around an
+        experiment run).  The two ever-growing lists are recorded by
+        length only (``n_point_keys``, ``n_failures``), so a snapshot
+        costs the same however long the process has been running; slice
+        the live lists from those lengths to get what happened since."""
         return {
             "simulated": self.simulated,
             "cache_hits": self.cache_hits,
@@ -136,8 +141,8 @@ class RunnerCounters:
             "heartbeats": self.heartbeats,
             "sim_cycles": self.sim_cycles,
             "sim_events": self.sim_events,
-            "point_keys": list(self.point_keys),
-            "failures": list(self.failures),
+            "n_point_keys": len(self.point_keys),
+            "n_failures": len(self.failures),
         }
 
 
@@ -256,7 +261,10 @@ def run_sweep(
 
     keys = [point_key(p) for p in points]
     labels = [point_label(p) for p in points]
-    counters.point_keys.extend(keys)
+    # Interned: a process re-running the same points (warm passes,
+    # repeated experiments) keeps one string per key, so the history
+    # grows by a pointer per executed point.
+    counters.point_keys.extend(map(sys.intern, keys))
     payloads: list[Optional[dict]] = [None] * len(points)
 
     journal_hits = 0

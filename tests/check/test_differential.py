@@ -1,4 +1,4 @@
-"""The differential harness: three engines, one verdict."""
+"""The differential harness: every engine, one verdict."""
 
 import pytest
 
@@ -12,9 +12,12 @@ from repro.check.differential import (
     differential_point,
     differential_points,
     functional_leg,
+    kernel_leg,
     model_leg,
+    result_mismatches,
 )
 from repro.model.torus import TorusShape
+from repro.net import kernel
 from repro.net.faults import FaultPlan
 from repro.runner.point import SimPoint
 from repro.runner.pool import counters
@@ -124,6 +127,41 @@ class TestLegs:
         )
         failures = functional_leg(point, sim_run=tampered)
         assert failures and "delivered" in failures[0]
+
+    @pytest.mark.skipif(not kernel.available(), reason="no C compiler")
+    def test_kernel_leg_detects_a_diverging_loop(self, monkeypatch):
+        # Sabotage the compiled loop's copy-back: one extra hop.
+        real = kernel._copy_back
+
+        def skewed(net, ks, *rest):
+            ks.total_hops += 1
+            real(net, ks, *rest)
+
+        point = _point(TwoPhaseSchedule(), "2x4x4", msg=100)
+        assert kernel_leg(point) == []
+        monkeypatch.setattr(kernel, "_copy_back", skewed)
+        failures = kernel_leg(point)
+        assert len(failures) == 1 and "total_hops" in failures[0]
+        report = differential_point(point)
+        assert any(f.startswith("kernel:") for f in report.failures)
+
+    def test_result_mismatches_is_bitwise(self):
+        import dataclasses
+
+        from repro.runner.pool import run_points
+
+        res = run_points([_point()])[0].result
+        assert result_mismatches(res, res) == []
+        busy = res.link_busy_cycles.copy()
+        busy.flat[0] = busy.flat[0] + 1.0
+        moved = dataclasses.replace(res, link_busy_cycles=busy)
+        assert [m.split(":")[0] for m in result_mismatches(res, moved)] == [
+            "link_busy_cycles"
+        ]
+        # 0.0 == -0.0, but not bit for bit.
+        zero = dataclasses.replace(res, mean_final_latency=0.0)
+        negzero = dataclasses.replace(res, mean_final_latency=-0.0)
+        assert result_mismatches(zero, negzero)
 
     def test_default_bands_cover_observed_sweep(self):
         bands = default_bands()

@@ -32,6 +32,20 @@ STRATEGIES = [
     CreditedTPS(),
     VirtualMesh2D(),
 ]
+# Fixed case ids, one per entry of STRATEGIES.  The digits are the ones the
+# suite reported when the ids were hashed from object addresses (which made
+# them change from run to run); they are kept so recorded test names still
+# match.
+STRATEGY_IDS = [
+    "AR6",
+    "DR2",
+    "AR-throttle",
+    "MPI0",
+    "TPS1",
+    "TPS4",
+    "TPS-credit",
+    "VMesh",
+]
 
 
 def _lossy_plan(shape=SHAPE, **kw):
@@ -41,9 +55,7 @@ def _lossy_plan(shape=SHAPE, **kw):
 
 
 class TestCleanRunsStaySilent:
-    @pytest.mark.parametrize(
-        "strategy", STRATEGIES, ids=lambda s: s.name + str(id(s) % 7)
-    )
+    @pytest.mark.parametrize("strategy", STRATEGIES, ids=STRATEGY_IDS)
     def test_all_oracles_pass_and_run_is_bit_identical(self, strategy):
         plain = simulate_alltoall(strategy, SHAPE, 128, seed=1)
         checked = simulate_alltoall(

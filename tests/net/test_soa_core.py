@@ -14,9 +14,10 @@ Three families the ordinary suites exercise only incidentally:
 import pytest
 
 from repro.check import CheckedTorusNetwork
+from repro.check.differential import result_mismatches
 from repro.model.machine import MachineParams
 from repro.model.torus import TorusShape
-from repro.net import ListProgram, NetworkConfig, PacketSpec, TorusNetwork
+from repro.net import ListProgram, NetworkConfig, PacketSpec, TorusNetwork, kernel
 from repro.net.packet import NO_VC, Packet, PacketPool, RoutingMode
 from repro.net.simulator import TICK_SCALE, TICK_UNSCALE
 
@@ -99,18 +100,35 @@ class TestPacketPool:
         # in flight (injection FIFOs + VC buffers + reception backlog)
         # than the initial pool holds, so the pool must regrow mid-run
         # while the simulator keeps using its hoisted column references.
+        # The Python pool is the Python loop's; the compiled kernel keeps
+        # its own (test_kernel_survives_pool_regrowth).
         shape = TorusShape.parse("2x2x2")
         net = TorusNetwork(shape)
         cap0 = net._pool.capacity
         plans = [[PacketSpec(dst=0, wire_bytes=256)] * 64 for _ in range(8)]
         plans[0] = []
-        res = net.run(ListProgram(plans))
+        with kernel.use_engine("python"):
+            res = net.run(ListProgram(plans))
         assert res.final_deliveries == 7 * 64
         assert net._pool.capacity > cap0
         assert net._P_src is net._pool.src
         assert net._P_dst is net._pool.dst
         # Quiescent: every handle came back to the free list.
         assert net._pool.live == 0
+
+    @pytest.mark.skipif(not kernel.available(), reason="no C compiler")
+    def test_kernel_survives_pool_regrowth(self):
+        # Same traffic through the compiled loop, whose pool starts at
+        # the Python pool's capacity and doubles the same way.
+        shape = TorusShape.parse("2x2x2")
+        plans = [[PacketSpec(dst=0, wire_bytes=256)] * 64 for _ in range(8)]
+        plans[0] = []
+        results = []
+        for engine in ("kernel", "python"):
+            with kernel.use_engine(engine):
+                results.append(TorusNetwork(shape).run(ListProgram(plans)))
+        assert results[0].final_deliveries == 7 * 64
+        assert result_mismatches(*results) == []
 
 
 # --------------------------------------------------------------------- #

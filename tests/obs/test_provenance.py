@@ -159,6 +159,27 @@ class TestProvenance:
             == prov["config_fingerprint"]
         )
 
+    def test_provenance_ignores_earlier_history(self, tmp_path, monkeypatch):
+        # A long-lived process: counters already hold thousands of keys
+        # and a failure from earlier sweeps.  The provenance of the next
+        # experiment must list exactly its own points and failures.
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+        from repro.experiments.registry import run_experiment
+        from repro.runner import counters
+
+        counters.reset()
+        clean = run_experiment("tab1_symmetric", scale="tiny", seed=0)
+        assert clean.provenance["points"] > 0
+        counters.point_keys.extend(["stale"] * 5000)
+        counters.failures.append({"kind": "timeout", "key": "stale"})
+        try:
+            again = run_experiment("tab1_symmetric", scale="tiny", seed=0)
+        finally:
+            counters.reset()
+        for field in ("config_fingerprint", "points", "points_failed"):
+            assert again.provenance[field] == clean.provenance[field]
+        assert again.failures == clean.failures == []
+
 
 class TestLogging:
     @pytest.fixture(autouse=True)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import time
 
 import numpy as np
 import pytest
@@ -238,10 +239,34 @@ class TestPool:
     def test_snapshot_is_a_copy(self):
         run_point(_point())
         snap = counters.snapshot()
-        before = dict(snap, point_keys=list(snap["point_keys"]))
+        before = dict(snap)
         run_point(_point(msg_bytes=96))
-        assert snap["point_keys"] == before["point_keys"]
+        assert snap == before
+        assert snap["n_point_keys"] == 1
         assert len(counters.point_keys) == 2
+
+    def test_snapshot_cost_is_independent_of_history(self):
+        class Untouchable(list):
+            """History a snapshot may measure but never copy."""
+
+            def __iter__(self):
+                raise AssertionError("snapshot copied the history")
+
+            __getitem__ = __iter__
+
+        counters.point_keys = Untouchable(["k"] * 500_000)
+        counters.failures = Untouchable([{"kind": "timeout"}] * 1000)
+        try:
+            snap = counters.snapshot()
+            assert snap["n_point_keys"] == 500_000
+            assert snap["n_failures"] == 1000
+            # And in time: far below what copying 500k entries takes.
+            t0 = time.perf_counter()
+            for _ in range(100):
+                counters.snapshot()
+            assert (time.perf_counter() - t0) / 100 < 1e-3
+        finally:
+            counters.reset()
 
 
 class TestCanonicalExtras:
